@@ -32,7 +32,6 @@ from .kernel import (
     sampled_bounds,
     uniqueness_certificate,
     eta_threshold,
-    polynomial_family_verdict,
 )
 from .operators import (
     DiscretizedKernel,

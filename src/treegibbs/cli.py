@@ -173,8 +173,8 @@ def _certificate_dict(c: Certificate) -> dict:
 
 def _gridfunction_dict(f: GridFunction) -> dict:
     return {
-        "t": np.concatenate(([0.0], f.grid.nodes)),
-        "f": np.concatenate(([f.value_at_zero], f.values)),
+        "t": f.grid.points,
+        "f": f.samples,
     }
 
 
@@ -260,7 +260,7 @@ def cmd_eigen(cfg: dict, out_dir: Path, seed_override) -> int:
 
     def eigen_residual(p):
         hk = apply_hammerstein(dk, p.h, k)
-        return float(np.max(np.abs(hk.all_samples - p.lam * p.h.all_samples)))
+        return float(np.max(np.abs(hk.samples - p.lam * p.h.samples)))
 
     rescaled = []
     for lam in targets:

@@ -89,32 +89,23 @@ class TreeAssignment:
         object.__setattr__(self, "spins", spins)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOnGrid:
-    """Probability density on [0,1] sampled at the grid nodes and at t=0,
-    normalized so its quadrature integral is 1."""
+@dataclass(frozen=True, eq=False, init=False)
+class DensityOnGrid(GridFunction):
+    """Probability density on [0,1] sampled at the grid points (t=0 and the
+    nodes), normalized so its quadrature integral is 1."""
 
-    grid: Grid
-    values: np.ndarray
-    value_at_zero: float
     normalization: float
 
-    def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != self.grid.nodes.shape:
-            raise ValueError("density values must match the grid node count")
-        if np.any(vals < 0.0) or self.value_at_zero < 0.0:
+    def __init__(self, grid: Grid, values, value_at_zero: float, normalization: float):
+        super().__init__(grid, values, value_at_zero)
+        if np.any(self.samples < 0.0):
             raise ValueError("density must be nonnegative")
-        total = float(self.grid.weights @ vals)
-        if abs(total - 1.0) > DENSITY_NORMALIZATION_TOL:
+        if abs(integrate(grid, self.values) - 1.0) > DENSITY_NORMALIZATION_TOL:
             raise ValueError("density quadrature integral must equal 1")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "value_at_zero", float(self.value_at_zero))
-        object.__setattr__(self, "normalization", float(self.normalization))
+        object.__setattr__(self, "normalization", float(normalization))
 
     def as_grid_function(self) -> GridFunction:
-        return GridFunction(self.grid, self.values, self.value_at_zero)
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +147,7 @@ def fixed_point_residual(f: GridFunction, dk: DiscretizedKernel, k: int) -> floa
     the solver tolerance.
     """
     g = apply_fixed_point_map(dk, f, k)
-    return float(np.max(np.abs(g.all_samples - f.all_samples)))
+    return float(np.max(np.abs(g.samples - f.samples)))
 
 
 def _marginal_exponent(k: int) -> float:
@@ -179,11 +170,10 @@ def root_marginal(f: GridFunction, dk: DiscretizedKernel, k: int) -> DensityOnGr
         raise ValueError(
             f"root marginal needs a fixed point: residual {residual:.3e} exceeds {FIXED_POINT_GATE:.1e}"
         )
-    ex = _marginal_exponent(k)
-    raw = f.values**ex
-    raw0 = f.value_at_zero**ex
-    z = integrate(f.grid, raw)
-    return DensityOnGrid(f.grid, raw / z, raw0 / z, z)
+    raw = f.samples ** _marginal_exponent(k)
+    z = integrate(f.grid, raw[1:])
+    rho = raw / z
+    return DensityOnGrid(f.grid, rho[1:], rho[0], z)
 
 
 def child_transition(f: GridFunction, dk: DiscretizedKernel, parent_spin: float) -> DensityOnGrid:
@@ -195,18 +185,14 @@ def child_transition(f: GridFunction, dk: DiscretizedKernel, parent_spin: float)
     parent_spin = float(parent_spin)
     if not (0.0 <= parent_spin <= 1.0):
         raise ValueError("parent_spin must lie in [0,1]")
-    if np.any(f.all_samples < 0.0):
+    if np.any(f.samples < 0.0):
         raise ValueError("f must be nonnegative")
-    row = dk.spec.evaluate(parent_spin, f.grid.nodes) * f.values
-    row0 = dk.spec.evaluate(parent_spin, 0.0) * f.value_at_zero
-    z = integrate(f.grid, row)
+    row = dk.spec.evaluate(parent_spin, f.grid.points) * f.samples
+    z = integrate(f.grid, row[1:])
     if z <= 0.0:
         raise ValueError("transition density has nonpositive mass")
-    return DensityOnGrid(f.grid, row / z, row0 / z, z)
-
-
-def _pl_knots(density: DensityOnGrid) -> tuple[np.ndarray, np.ndarray]:
-    return interp_knots(density.as_grid_function())
+    p = row / z
+    return DensityOnGrid(f.grid, p[1:], p[0], z)
 
 
 def _sample_pl_rows(ts: np.ndarray, dens: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -253,8 +239,8 @@ def sample_tree(
     spins = np.empty((n_samples, n_vertices))
 
     rho = root_marginal(f, dk, shape.k)
-    ts, root_dens = _pl_knots(rho)
-    f_knots = np.concatenate(([f.value_at_zero], f.values, [f.values[-1]]))
+    ts, root_dens = interp_knots(rho)
+    f_knots = interp_knots(f)[1]
 
     for start in range(0, n_samples, _SAMPLE_CHUNK):
         stop = min(start + _SAMPLE_CHUNK, n_samples)
@@ -354,7 +340,7 @@ def density_bin_probabilities(density: DensityOnGrid, edges) -> np.ndarray:
     edges = np.asarray(edges, dtype=float)
     if np.any(edges < 0.0) or np.any(edges > 1.0) or np.any(np.diff(edges) <= 0.0):
         raise ValueError("edges must be increasing and lie in [0,1]")
-    ts, ds = _pl_knots(density)
+    ts, ds = interp_knots(density)
     seg_mass = 0.5 * (ds[:-1] + ds[1:]) * np.diff(ts)
     cdf_knots = np.concatenate(([0.0], np.cumsum(seg_mass)))
     idx = np.clip(np.searchsorted(ts, edges, side="right") - 1, 0, ts.size - 2)

@@ -1,13 +1,15 @@
 """Composite Gauss-Legendre quadrature on [0,1] and grid-sampled functions.
 
 Gauss nodes are interior points, but the normalizing functional of the
-fixed-point operators evaluates functions at t=0, so a ``GridFunction``
-carries that value explicitly instead of recovering it by interpolation.
+fixed-point operators evaluates functions at t=0.  A grid therefore carries
+``points = [0, nodes...]``, and a ``GridFunction`` stores one sample array
+aligned with it: sample 0 is the value at t=0, samples 1..n the node values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,19 +27,24 @@ def _frozen_array(a) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Composite Gauss-Legendre rule on [0,1]: ``points_per_panel`` nodes on
-    each of ``panels`` equal subintervals.  Weights sum to 1."""
+    each of ``panels`` equal subintervals.  Weights sum to 1.  ``points`` is
+    t=0 followed by the nodes; ``nodes`` is a view of ``points[1:]``."""
 
     nodes: np.ndarray
     weights: np.ndarray
     points_per_panel: int
     panels: int
+    points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _frozen_array(self.nodes))
-        object.__setattr__(self, "weights", _frozen_array(self.weights))
-        n, w = self.nodes, self.weights
-        if n.ndim != 1 or n.shape != w.shape or n.size == 0:
+        w = _frozen_array(self.weights)
+        if np.ndim(self.nodes) != 1 or np.shape(self.nodes) != w.shape or w.size == 0:
             raise ValueError("nodes and weights must be 1-d arrays of equal nonzero length")
+        points = _frozen_array(np.concatenate(([0.0], self.nodes)))
+        n = points[1:]
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "nodes", n)
+        object.__setattr__(self, "weights", w)
         if n[0] <= 0.0 or n[-1] >= 1.0 or np.any(np.diff(n) <= 0.0):
             raise ValueError("nodes must be strictly increasing and lie inside (0,1)")
         if np.any(w <= 0.0):
@@ -61,7 +68,9 @@ def make_grid(points_per_panel: int = 12, panels: int = 8) -> Grid:
 
     An n-point panel integrates polynomials of degree <= 2n-1 exactly, so
     the default rule is spectrally accurate for the smooth kernels handled
-    here while staying cheap to refine for convergence studies.
+    here while staying cheap to refine for convergence studies.  The
+    largest weight is snapped so that the exactly rounded weight sum is
+    1.0, which makes a constant integrate to exactly itself.
     """
     if points_per_panel < 1 or panels < 1:
         raise ValueError("points_per_panel and panels must both be >= 1")
@@ -72,27 +81,47 @@ def make_grid(points_per_panel: int = 12, panels: int = 8) -> Grid:
         half = 0.5 * (b - a)
         nodes.append(half * (x + 1.0) + a)
         weights.append(half * w)
-    return Grid(np.concatenate(nodes), np.concatenate(weights), points_per_panel, panels)
+    weights = np.concatenate(weights)
+    j = int(np.argmax(weights))
+    for _ in range(4):  # two corrections suffice on every rule tried
+        err = 1.0 - math.fsum(weights)
+        if err == 0.0:
+            break
+        weights[j] += err
+    return Grid(np.concatenate(nodes), weights, points_per_panel, panels)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GridFunction:
-    """Values of a function at the grid nodes plus its value at t=0."""
+    """Samples of a function at ``grid.points``: the value at t=0 first,
+    then the node values.  ``values`` and ``value_at_zero`` read from the
+    one ``samples`` array."""
 
     grid: Grid
-    values: np.ndarray
-    value_at_zero: float
+    samples: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
-        object.__setattr__(self, "value_at_zero", float(self.value_at_zero))
-        if self.values.shape != self.grid.nodes.shape:
+    def __init__(self, grid: Grid, values, value_at_zero: float):
+        values = np.asarray(values, dtype=float)
+        if values.shape != grid.nodes.shape:
             raise ValueError("values length must match the grid node count")
+        samples = np.empty(grid.n + 1)
+        samples[0] = value_at_zero
+        samples[1:] = values
+        samples.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "samples", samples)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.samples[1:]
+
+    @property
+    def value_at_zero(self) -> float:
+        return float(self.samples[0])
 
     @property
     def all_samples(self) -> np.ndarray:
-        """Stored samples including the t=0 value (first entry)."""
-        return np.concatenate(([self.value_at_zero], self.values))
+        return self.samples
 
 
 def sample_function(grid: Grid, fn) -> GridFunction:
@@ -109,16 +138,14 @@ def integrate(grid: Grid, values) -> float:
 
 
 def sup_norm(f: GridFunction) -> float:
-    """Max of |f| over all stored samples (nodes and t=0)."""
-    return float(np.max(np.abs(f.all_samples)))
+    """Max of |f| over all stored samples (t=0 and the nodes)."""
+    return float(np.max(np.abs(f.samples)))
 
 
 def interp_knots(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Knots of the piecewise-linear interpolant: (0, f(0)), the nodes, and
-    a constant-extrapolated right endpoint at t=1."""
-    xs = np.concatenate(([0.0], f.grid.nodes, [1.0]))
-    ys = np.concatenate(([f.value_at_zero], f.values, [f.values[-1]]))
-    return xs, ys
+    """Knots of the piecewise-linear interpolant: the grid points with their
+    samples, and a constant-extrapolated right endpoint at t=1."""
+    return np.append(f.grid.points, 1.0), np.append(f.samples, f.samples[-1])
 
 
 def interpolate(f: GridFunction, t):
@@ -138,7 +165,7 @@ def shift_gap(f: GridFunction, a: float) -> float:
     a is chosen; callers use this gap to rule out collapse of a difference
     of two fixed points onto a constant.
     """
-    samples = f.all_samples
+    samples = f.samples
     if not (samples.min() < 0.0 < samples.max()):
         raise ValueError("shift_gap requires a sign-changing function")
     return float(np.max(np.abs(samples - float(a))))
@@ -146,7 +173,7 @@ def shift_gap(f: GridFunction, a: float) -> float:
 
 def gridfunction_csv(f: GridFunction, names: tuple[str, str] = ("t", "f")) -> str:
     """CSV serialization: header, then (t, f(t)) rows starting with t=0."""
-    lines = [",".join(names), f"0,{fmt_float(f.value_at_zero)}"]
-    for t, v in zip(f.grid.nodes, f.values):
+    lines = [",".join(names)]
+    for t, v in zip(f.grid.points, f.samples):
         lines.append(f"{fmt_float(t)},{fmt_float(v)}")
     return "\n".join(lines) + "\n"

@@ -297,18 +297,3 @@ def uniqueness_certificate(bounds: Bounds, k: int) -> Certificate:
         passed=bool(lhs < bound),
     )
 
-
-def polynomial_family_verdict(spec: PolynomialKernel, k: int) -> bool:
-    """Closed-form uniqueness check for the polynomial family.
-
-    With exact bounds m=a and M=a+sum(c_ij), the ratio test reduces to
-    sum(c_ij)/a <= eta_k - 1.  The comparison is non-strict here, so at
-    exact equality this verdict may differ from ``uniqueness_certificate``
-    (which is strict); away from the boundary the two always agree.
-    """
-    if not isinstance(spec, PolynomialKernel):
-        raise TypeError("verdict is defined for polynomial kernels only")
-    k = int(k)
-    if k < 2:
-        raise ValueError("verdict requires k >= 2")
-    return bool(spec.coeff_sum / spec.a <= eta_threshold(k) - 1.0)

@@ -1,10 +1,12 @@
 """Nystrom-discretized integral operators for a positive kernel.
 
 On a quadrature grid the linear transfer operator (Wf)(t) = int K(t,u)f(u)du
-becomes a matrix-vector product; the t=0 row is kept separately because the
-normalizer omega(f) = (Wf)(0) must never be interpolated.  From W we build
-the normalized transfer Bf = Wf/omega(f), the order-k fixed-point map
-f -> (Bf)^k, and the Hammerstein operator f -> W(f^k).
+becomes one matrix-vector product over a kernel table whose rows are the
+grid points [0, nodes...] and whose columns are the nodes.  Row 0 is
+K(0, .), so element 0 of Wf is the normalizer omega(f) = (Wf)(0), computed
+by the same reduction as every node value and never interpolated.  From W
+we build the normalized transfer Bf = Wf/omega(f), the order-k fixed-point
+map f -> (Bf)^k, and the Hammerstein operator f -> W(f^k).
 """
 
 from __future__ import annotations
@@ -19,33 +21,37 @@ from .kernel import KernelSpec
 
 @dataclass(frozen=True, eq=False)
 class DiscretizedKernel:
-    """Kernel values at node pairs plus the row K(0, u_j)."""
+    """Kernel table K(s_i, u_j) for s in ``grid.points`` and u in
+    ``grid.nodes``: shape (n+1, n), row 0 is K(0, .).  ``matrix`` (node
+    pairs) and ``row_at_zero`` are views of it.  The table is frozen in
+    place, not copied."""
 
-    matrix: np.ndarray
-    row_at_zero: np.ndarray
+    table: np.ndarray
     grid: Grid
     spec: KernelSpec
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        r = np.array(self.row_at_zero, dtype=float)
+        table = np.asarray(self.table, dtype=float)
         n = self.grid.n
-        if m.shape != (n, n) or r.shape != (n,):
-            raise ValueError("matrix/row shapes must match the grid node count")
-        if np.any(m <= 0.0) or np.any(r <= 0.0):
+        if table.shape != (n + 1, n):
+            raise ValueError("kernel table must have shape (n+1, n) for an n-node grid")
+        if np.any(table <= 0.0):
             raise ValueError("discretized kernel entries must be strictly positive")
-        m.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "row_at_zero", r)
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.table[1:]
+
+    @property
+    def row_at_zero(self) -> np.ndarray:
+        return self.table[0]
 
 
 def discretize(spec: KernelSpec, grid: Grid) -> DiscretizedKernel:
-    """Evaluate the kernel at all node pairs (t_i, u_j) and along t=0."""
-    nodes = grid.nodes
-    matrix = spec.evaluate(nodes[:, None], nodes[None, :])
-    row_at_zero = spec.evaluate(0.0, nodes)
-    return DiscretizedKernel(matrix, row_at_zero, grid, spec)
+    """Evaluate the kernel at all (grid point, node) pairs in one call."""
+    return DiscretizedKernel(spec.evaluate(grid.points[:, None], grid.nodes[None, :]), grid, spec)
 
 
 def _check_grid(dk: DiscretizedKernel, f: GridFunction):
@@ -53,40 +59,36 @@ def _check_grid(dk: DiscretizedKernel, f: GridFunction):
         raise ValueError("grid mismatch between discretized kernel and function")
 
 
-def _check_admissible(f: GridFunction):
-    samples = f.all_samples
-    if np.any(samples < 0.0):
-        raise ValueError("function must be nonnegative")
-    if not np.any(samples > 0.0):
-        raise ValueError("function must not be identically zero")
-
-
 def apply_transfer(dk: DiscretizedKernel, f: GridFunction) -> GridFunction:
-    """Linear transfer: (Wf)(t_i) = sum_j w_j K(t_i,u_j) f(u_j), plus (Wf)(0)."""
+    """Linear transfer (Wf)(s) = sum_j w_j K(s,u_j) f(u_j) at every grid
+    point s; sample 0 is omega(f)."""
     _check_grid(dk, f)
-    weighted = dk.grid.weights * f.values
-    return GridFunction(dk.grid, dk.matrix @ weighted, float(dk.row_at_zero @ weighted))
+    wf = dk.table @ (dk.grid.weights * f.values)
+    return GridFunction(dk.grid, wf[1:], wf[0])
+
+
+def _admissible_transfer(dk: DiscretizedKernel, f: GridFunction) -> np.ndarray:
+    """Samples of Wf for a nonnegative, nonzero f, with omega(f) > 0 checked."""
+    if np.any(f.samples < 0.0):
+        raise ValueError("function must be nonnegative")
+    if not np.any(f.samples > 0.0):
+        raise ValueError("function must not be identically zero")
+    wf = apply_transfer(dk, f).samples
+    if wf[0] <= 0.0:
+        raise ValueError("normalizer is not positive; input function is inadmissible")
+    return wf
 
 
 def omega(dk: DiscretizedKernel, f: GridFunction) -> float:
     """Normalizing functional omega(f) = (Wf)(0); positive for admissible f."""
-    _check_grid(dk, f)
-    _check_admissible(f)
-    value = float(dk.row_at_zero @ (dk.grid.weights * f.values))
-    if value <= 0.0:
-        raise ValueError("normalizer is not positive; input function is inadmissible")
-    return value
+    return float(_admissible_transfer(dk, f)[0])
 
 
 def apply_normalized_transfer(dk: DiscretizedKernel, f: GridFunction) -> GridFunction:
     """Normalized transfer Bf = Wf / omega(f); (Bf)(0) = 1 exactly."""
-    _check_grid(dk, f)
-    _check_admissible(f)
-    w = apply_transfer(dk, f)
-    om = w.value_at_zero
-    if om <= 0.0:
-        raise ValueError("normalizer is not positive; input function is inadmissible")
-    return GridFunction(dk.grid, w.values / om, 1.0)
+    wf = _admissible_transfer(dk, f)
+    b = wf / wf[0]
+    return GridFunction(dk.grid, b[1:], b[0])
 
 
 def apply_fixed_point_map(dk: DiscretizedKernel, f: GridFunction, k: int) -> GridFunction:
@@ -108,11 +110,10 @@ def apply_hammerstein(dk: DiscretizedKernel, f: GridFunction, k: int) -> GridFun
     k = int(k)
     if k < 1:
         raise ValueError("order k must be >= 1")
-    _check_grid(dk, f)
-    if np.any(f.all_samples < 0.0):
+    if np.any(f.samples < 0.0):
         raise ValueError("function must be nonnegative")
-    powered = GridFunction(dk.grid, f.values**k, f.value_at_zero**k)
-    return apply_transfer(dk, powered)
+    powered = f.samples**k
+    return apply_transfer(dk, GridFunction(dk.grid, powered[1:], powered[0]))
 
 
 def extend_fixed_point(dk: DiscretizedKernel, f: GridFunction, k: int, ts) -> np.ndarray:
@@ -128,9 +129,6 @@ def extend_fixed_point(dk: DiscretizedKernel, f: GridFunction, k: int, ts) -> np
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0.0) or np.any(ts > 1.0):
         raise ValueError("evaluation points must lie in [0,1]")
-    weighted = dk.grid.weights * f.values
-    om = float(dk.row_at_zero @ weighted)
-    if om <= 0.0:
-        raise ValueError("normalizer is not positive; input function is inadmissible")
-    wt = dk.spec.evaluate(ts[:, None], dk.grid.nodes[None, :]) @ weighted
+    om = omega(dk, f)
+    wt = dk.spec.evaluate(ts[:, None], dk.grid.nodes[None, :]) @ (dk.grid.weights * f.values)
     return (wt / om) ** k

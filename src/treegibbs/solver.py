@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import GridFunction
 from .kernel import Bounds, Certificate, kernel_bounds, uniqueness_certificate
-from .operators import DiscretizedKernel, apply_hammerstein, omega
+from .operators import DiscretizedKernel, apply_hammerstein, apply_transfer, omega
 
 # Sup-distance under which multi-start solutions count as one solution:
 # looser than the solve tolerance to absorb path-dependent rounding.
@@ -87,7 +87,7 @@ class Eigenpair:
     def __post_init__(self):
         if self.lam <= 0.0:
             raise ValueError("eigenvalue must be positive")
-        if np.any(self.h.all_samples <= 0.0):
+        if np.any(self.h.samples <= 0.0):
             raise ValueError("eigenfunction must be strictly positive")
 
 
@@ -127,48 +127,43 @@ def hammerstein_envelope(bounds: Bounds, k: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _initial_state(dk: DiscretizedKernel, k: int, opts: SolveOptions) -> tuple[np.ndarray, float]:
+def _initial_state(dk: DiscretizedKernel, k: int, opts: SolveOptions) -> GridFunction:
     n = dk.grid.n
     if opts.init == "flat":
-        return np.ones(n), 1.0
+        return GridFunction(dk.grid, np.ones(n), 1.0)
     if opts.init == "random":
         lo, hi = fixed_point_envelope(kernel_bounds(dk.spec), k)
         rng = np.random.default_rng(opts.seed)
-        vals = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-        return vals, 1.0
+        return GridFunction(dk.grid, np.exp(rng.uniform(np.log(lo), np.log(hi), size=n)), 1.0)
     f0 = opts.init_function
     if not dk.grid.compatible(f0.grid):
         raise ValueError("init_function grid does not match the solve grid")
-    if np.any(f0.all_samples <= 0.0):
+    if np.any(f0.samples <= 0.0):
         raise ValueError("init_function must be strictly positive")
-    return f0.values.copy(), f0.value_at_zero
+    return f0
 
 
-def _apply_map(dk: DiscretizedKernel, vals: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    weighted = dk.grid.weights * vals
-    om = float(dk.row_at_zero @ weighted)
-    g = (dk.matrix @ weighted) / om
-    if k != 1:
-        g = g**k
-    return g, 1.0
+def _apply_map(dk: DiscretizedKernel, f: GridFunction, k: int) -> tuple[np.ndarray, float]:
+    """Samples of (Wf/omega(f))^k, and omega(f) = (Wf)(0)."""
+    wf = apply_transfer(dk, f).samples
+    return (wf / wf[0]) ** k, float(wf[0])
 
 
 def _iterate(dk, k, opts, damped: bool) -> SolveReport:
-    vals, v0 = _initial_state(dk, k, opts)
+    f = _initial_state(dk, k, opts)
     alpha = opts.damping
     streak = 0
     prev_res = np.inf
     for it in range(1, opts.max_iter + 1):
-        g, g0 = _apply_map(dk, vals, k)
-        res = float(max(np.max(np.abs(g - vals)), abs(g0 - v0)))
+        g, om = _apply_map(dk, f, k)
+        res = float(np.max(np.abs(g - f.samples)))
         if res <= opts.tol or it == opts.max_iter:
-            solution = GridFunction(dk.grid, vals, v0)
             return SolveReport(
-                solution=solution,
+                solution=f,
                 residual=res,
                 iterations=it,
                 converged=res <= opts.tol,
-                omega_value=omega(dk, solution),
+                omega_value=om,
             )
         if damped:
             if res > prev_res:
@@ -178,10 +173,8 @@ def _iterate(dk, k, opts, damped: bool) -> SolveReport:
             if streak >= _BAD_STREAK and alpha > _MIN_DAMPING:
                 alpha = max(0.5 * alpha, _MIN_DAMPING)
                 streak = 0
-            vals = (1.0 - alpha) * vals + alpha * g
-            v0 = (1.0 - alpha) * v0 + alpha * g0
-        else:
-            vals, v0 = g, g0
+            g = (1.0 - alpha) * f.samples + alpha * g
+        f = GridFunction(dk.grid, g[1:], g[0])
         prev_res = res
     raise AssertionError("unreachable")
 
@@ -219,11 +212,10 @@ def fixed_point_to_eigenpair(f: GridFunction, dk: DiscretizedKernel, k: int) -> 
     k = int(k)
     if k < 2:
         raise ValueError("eigenpair conversion requires k >= 2")
-    if np.any(f.all_samples <= 0.0):
+    if np.any(f.samples <= 0.0):
         raise ValueError("fixed point must be strictly positive")
-    lam0 = omega(dk, f)
-    h = GridFunction(f.grid, f.values ** (1.0 / k), f.value_at_zero ** (1.0 / k))
-    return Eigenpair(lam0, h)
+    h = f.samples ** (1.0 / k)
+    return Eigenpair(omega(dk, f), GridFunction(f.grid, h[1:], h[0]))
 
 
 def eigenpair_to_fixed_point(pair: Eigenpair, k: int) -> GridFunction:
@@ -237,8 +229,8 @@ def eigenpair_to_fixed_point(pair: Eigenpair, k: int) -> GridFunction:
     k = int(k)
     if k < 2:
         raise ValueError("eigenpair conversion requires k >= 2")
-    h0 = pair.h.value_at_zero
-    return GridFunction(pair.h.grid, (pair.h.values / h0) ** k, (h0 / h0) ** k)
+    f = (pair.h.samples / pair.h.samples[0]) ** k
+    return GridFunction(pair.h.grid, f[1:], f[0])
 
 
 def rescale_eigenpair(pair: Eigenpair, target_lambda: float, k: int) -> Eigenpair:
@@ -255,8 +247,8 @@ def rescale_eigenpair(pair: Eigenpair, target_lambda: float, k: int) -> Eigenpai
     if target_lambda <= 0.0:
         raise ValueError("target eigenvalue must be positive")
     c = (target_lambda / pair.lam) ** (1.0 / (k - 1))
-    scaled = GridFunction(pair.h.grid, c * pair.h.values, c * pair.h.value_at_zero)
-    return Eigenpair(float(target_lambda), scaled)
+    scaled = c * pair.h.samples
+    return Eigenpair(float(target_lambda), GridFunction(pair.h.grid, scaled[1:], scaled[0]))
 
 
 def solve_hammerstein_fixed_point(
@@ -272,7 +264,7 @@ def solve_hammerstein_fixed_point(
     unit = rescale_eigenpair(pair, 1.0, k)
     fstar = unit.h
     hk = apply_hammerstein(dk, fstar, k)
-    residual = float(np.max(np.abs(hk.all_samples - fstar.all_samples)))
+    residual = float(np.max(np.abs(hk.samples - fstar.samples)))
     return SolveReport(
         solution=fstar,
         residual=residual,
@@ -314,7 +306,7 @@ def uniqueness_probe(
         reports.append(
             solve_fixed_point(dk, k, dataclasses.replace(opts, init="given", init_function=start))
         )
-    solutions = [r.solution.all_samples for r in reports if r.converged]
+    solutions = [r.solution.samples for r in reports if r.converged]
     max_distance = 0.0
     for i in range(len(solutions)):
         for j in range(i + 1, len(solutions)):

@@ -1,5 +1,7 @@
 """Quadrature grids, grid functions, interpolation, and the shift-gap bound."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ class TestMakeGrid:
     def test_weights_sum_to_one(self, pts, panels):
         g = make_grid(pts, panels)
         assert abs(g.weights.sum() - 1.0) < 1e-14
+        assert math.fsum(g.weights) == 1.0
         assert g.n == pts * panels
 
     def test_nodes_strictly_increasing_inside_unit_interval(self):

@@ -11,7 +11,6 @@ from treegibbs import (
     TabulatedKernel,
     eta_threshold,
     kernel_bounds,
-    polynomial_family_verdict,
     sampled_bounds,
     uniqueness_certificate,
 )
@@ -229,30 +228,23 @@ class TestCertificate:
 
 
 class TestPolynomialFamilyVerdict:
+    """The certificate on the polynomial family, whose bounds are exact:
+    m = a and M = a + sum(c_ij)."""
+
+    @staticmethod
+    def passes(spec, k):
+        return uniqueness_certificate(kernel_bounds(spec), k).passed
+
     def test_small_sum_passes(self):
         spec = PolynomialKernel(coeffs=[(1, 1, 0.1)], a=1.0)
-        assert polynomial_family_verdict(spec, 2)
+        assert self.passes(spec, 2)
         assert 0.1 <= eta_by_bisection(2) - 1.0
 
     def test_large_sum_fails(self):
         spec = PolynomialKernel(coeffs=[(1, 1, 0.2)], a=1.0)
-        assert not polynomial_family_verdict(spec, 2)
+        assert not self.passes(spec, 2)
         assert 0.2 > eta_by_bisection(2) - 1.0
 
     def test_zero_sum_passes_for_all_k(self):
         spec = PolynomialKernel(coeffs=[], a=1.5)
-        assert all(polynomial_family_verdict(spec, k) for k in range(2, 12))
-
-    def test_agrees_with_certificate_off_boundary(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            k = int(rng.integers(2, 7))
-            a = float(rng.uniform(0.5, 2.0))
-            total = float(rng.uniform(0.0, 0.4))
-            spec = PolynomialKernel(coeffs=[(1, 1, total)], a=a)
-            cert = uniqueness_certificate(kernel_bounds(spec), k)
-            assert polynomial_family_verdict(spec, k) == cert.passed
-
-    def test_variant_mismatch(self):
-        with pytest.raises(TypeError):
-            polynomial_family_verdict(ConstantKernel(1.0), 2)
+        assert all(self.passes(spec, k) for k in range(2, 12))

@@ -16,6 +16,7 @@ from treegibbs import (
     discretize,
     extend_fixed_point,
     fixed_point_envelope,
+    fixed_point_residual,
     kernel_bounds,
     make_grid,
     omega,
@@ -45,6 +46,12 @@ class TestDiscretize:
         dk = discretize(ConstantKernel(2.5), grid96)
         assert np.all(dk.matrix == 2.5)
         assert np.all(dk.row_at_zero == 2.5)
+
+    def test_matrix_and_row_are_views_of_one_table(self, grid96):
+        dk = discretize(EXP_TU, grid96)
+        assert dk.table.shape == (grid96.n + 1, grid96.n)
+        assert np.shares_memory(dk.matrix, dk.table)
+        assert np.shares_memory(dk.row_at_zero, dk.table)
 
     def test_symmetric_interaction_gives_symmetric_matrix(self, grid96):
         dk = discretize(EXP_TU, grid96)
@@ -82,6 +89,20 @@ class TestTransfer:
         other = make_grid(12, 4)
         with pytest.raises(ValueError):
             apply_transfer(dk, ones(other))
+
+
+class TestSharedReduction:
+    """omega(f) and the node values of Wf come from one reduction, so a
+    constant kernel maps the flat function to exactly equal samples."""
+
+    @pytest.mark.parametrize("pts,panels", [(16, 64), (4, 24), (8, 12)])
+    def test_constant_kernel_flat_function_is_exact(self, pts, panels):
+        grid = make_grid(pts, panels)
+        dk = discretize(ConstantKernel(2.0), grid)
+        flat = ones(grid)
+        assert fixed_point_residual(flat, dk, 2) == 0.0
+        out = apply_transfer(dk, flat).all_samples
+        assert np.all(out == out[0])
 
 
 class TestOmega:
