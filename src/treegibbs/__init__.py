@@ -62,6 +62,7 @@ from .solver import (
 from .gibbs import (
     TreeShape,
     TreeAssignment,
+    TreeSample,
     DensityOnGrid,
     Histogram,
     energy,

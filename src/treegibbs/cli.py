@@ -338,9 +338,9 @@ def cmd_sample(cfg: dict, out_dir: Path, seed_override) -> int:
         _emit_report(out_dir, {"task": "sample", "k": k, **_solve_report_dict(rep, with_solution=False)})
         return EXIT_NO_CONVERGENCE
     shape = gibbs.TreeShape(k=k, depth=depth)
-    assignments = gibbs.sample_tree(rep.solution, dk, shape, n_samples, seed)
-    hist = gibbs.histogram_spins([a.spins[0] for a in assignments])
-    _emit(out_dir, "samples.csv", gibbs.assignments_csv(assignments))
+    sample = gibbs.sample_tree(rep.solution, dk, shape, n_samples, seed)
+    hist = gibbs.histogram_spins(sample.spins[:, 0])
+    _emit(out_dir, "samples.csv", gibbs.assignments_csv(sample))
     _emit(out_dir, "histogram.json", serialize.dumps(_histogram_dict(hist)))
     _emit_report(
         out_dir,
@@ -351,6 +351,7 @@ def cmd_sample(cfg: dict, out_dir: Path, seed_override) -> int:
             "n_samples": n_samples,
             "seed": seed,
             "vertex_count": shape.vertex_count,
+            "acceptance_rate": sample.acceptance_rate,
             "solve": _solve_report_dict(rep, with_solution=False),
             "root_histogram": _histogram_dict(hist),
         },

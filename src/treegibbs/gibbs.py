@@ -1,11 +1,14 @@
 """Tree measures built from a solved fixed point.
 
-A converged order-k fixed point f induces a Markov law on the rooted tree
-in which the root carries density proportional to f^((k+1)/k) and each
-child given parent spin t carries density proportional to K(t,u) f(u).
+A converged order-k fixed point f is a boundary law.  It induces a Markov
+law on the rooted tree in which the root carries density proportional to
+f^((k+1)/k) and each child given parent spin t carries density proportional
+to K(t,u) f~(u), with f~ the piecewise-linear interpolant of f.  The exact
+sampler draws the root by inverse CDF and every child by rejection: propose
+from f~, accept with probability K(t,u)/M for a proven envelope M >= K.
 Both closed forms are derived, not quoted, so they are guarded by a
 brute-force finite-volume Monte Carlo oracle: weight exp(-beta*H) times the
-boundary field prod f over the outer sphere, estimated by self-normalized
+boundary field prod f~ over the outer sphere, estimated by self-normalized
 importance sampling with a uniform proposal.
 """
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, GridFunction, integrate, interp_knots
-from .kernel import ExponentialKernel, KernelSpec
+from .kernel import ExponentialKernel, KernelSpec, _kernel_envelope
 from .operators import DiscretizedKernel, apply_fixed_point_map
 from .serialize import fmt_float
 
@@ -27,7 +30,7 @@ FIXED_POINT_GATE = 1e-6
 DENSITY_NORMALIZATION_TOL = 1e-10
 ESS_WARN_THRESHOLD = 100.0
 
-_SAMPLE_CHUNK = 1 << 15
+_ORACLE_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -195,27 +198,45 @@ def child_transition(f: GridFunction, dk: DiscretizedKernel, parent_spin: float)
     return DensityOnGrid(f.grid, p[1:], p[0], z)
 
 
-def _sample_pl_rows(ts: np.ndarray, dens: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws from piecewise-linear densities given per row.
+def _pl_cdf(ts: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Unnormalized CDF at the knots of the piecewise-linear density
+    through (ts, dens); element 0 is 0 and the last element the mass."""
+    seg_mass = 0.5 * (dens[:-1] + dens[1:]) * np.diff(ts)
+    return np.concatenate(([0.0], np.cumsum(seg_mass)))
+
+
+def _sample_pl(ts: np.ndarray, dens: np.ndarray, cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws from the piecewise-linear density with knot CDF
+    ``cdf`` (from ``_pl_cdf``).
 
     The CDF is quadratic on each knot interval; the quadratic is solved in
     the cancellation-free form s = 2*du / (d0 + sqrt(d0^2 + 2*slope*du)).
     """
-    dt = np.diff(ts)
-    seg_mass = 0.5 * (dens[:, :-1] + dens[:, 1:]) * dt
-    cdf = np.concatenate([np.zeros((dens.shape[0], 1)), np.cumsum(seg_mass, axis=1)], axis=1)
-    u = uniforms * cdf[:, -1]
-    idx = np.clip((cdf <= u[:, None]).sum(axis=1) - 1, 0, len(ts) - 2)
-    rows = np.arange(dens.shape[0])
-    du = u - cdf[rows, idx]
-    d0 = dens[rows, idx]
-    d1 = dens[rows, idx + 1]
-    h = dt[idx]
-    slope = (d1 - d0) / h
+    u = uniforms * cdf[-1]
+    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, ts.size - 2)
+    du = u - cdf[idx]
+    d0 = dens[idx]
+    h = np.diff(ts)[idx]
+    slope = (dens[idx + 1] - d0) / h
     disc = np.maximum(d0 * d0 + 2.0 * slope * du, 0.0)
     denom = d0 + np.sqrt(disc)
     s = np.divide(2.0 * du, denom, out=np.zeros_like(du), where=denom > 0.0)
     return ts[idx] + np.minimum(s, h)
+
+
+@dataclass(frozen=True, eq=False)
+class TreeSample:
+    """Independent draws of the tree measure.
+
+    Row i of the read-only (n_samples, V) array ``spins`` is one
+    configuration in the breadth-first vertex order of
+    ``shape.vertex_table()``.  ``acceptance_rate`` is accepted over proposed
+    child draws of the rejection step, or None at depth 0.
+    """
+
+    shape: TreeShape
+    spins: np.ndarray
+    acceptance_rate: float | None
 
 
 def sample_tree(
@@ -224,35 +245,49 @@ def sample_tree(
     shape: TreeShape,
     n_samples: int,
     seed: int,
-) -> list[TreeAssignment]:
+) -> TreeSample:
     """Exact top-down sampler of the tree measure.
 
-    Root spins come from ``root_marginal`` by inverse CDF on the
-    piecewise-linear density; children are drawn recursively from the
-    parent-conditional transition.  Deterministic per seed.
+    Root spins come first, from ``rng.random(n_samples)`` by inverse CDF on
+    the piecewise-linear ``root_marginal``.  Children are then drawn one
+    depth at a time from the target K(t,u) f~(u), where t is the parent
+    spin and f~ the piecewise-linear interpolant of f through
+    ``interp_knots(f)``, the same weight the Monte Carlo oracle uses.  A
+    proposal u is drawn from f~ (its CDF is built once) and accepted when
+    U * M <= K(t,u), with M the proven envelope ``kernel._kernel_envelope``;
+    rejected draws are redrawn until none remain, so the acceptance rate is
+    at least min K / M.  Deterministic per seed.  Replacing the per-draw
+    inverse CDF by this rejection step changed the child draws for a fixed
+    seed; root draws stayed the same for n_samples <= 32768.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    _, parents, _ = shape.vertex_table()
-    n_vertices = parents.size
-    spins = np.empty((n_samples, n_vertices))
+    _, parents, depths = shape.vertex_table()
+    spins = np.empty((n_samples, parents.size))
 
-    rho = root_marginal(f, dk, shape.k)
-    ts, root_dens = interp_knots(rho)
-    f_knots = interp_knots(f)[1]
+    ts, root_dens = interp_knots(root_marginal(f, dk, shape.k))
+    spins[:, 0] = _sample_pl(ts, root_dens, _pl_cdf(ts, root_dens), rng.random(n_samples))
 
-    for start in range(0, n_samples, _SAMPLE_CHUNK):
-        stop = min(start + _SAMPLE_CHUNK, n_samples)
-        m = stop - start
-        dens = np.broadcast_to(root_dens, (m, ts.size))
-        spins[start:stop, 0] = _sample_pl_rows(ts, dens, rng.random(m))
-        for v in range(1, n_vertices):
-            parent_spin = spins[start:stop, parents[v]]
-            rows = dk.spec.evaluate(parent_spin[:, None], ts[None, :]) * f_knots
-            spins[start:stop, v] = _sample_pl_rows(ts, rows, rng.random(m))
-    np.clip(spins, 0.0, 1.0, out=spins)
-    return [TreeAssignment(shape, spins[i]) for i in range(n_samples)]
+    f_dens = interp_knots(f)[1]
+    f_cdf = _pl_cdf(ts, f_dens)
+    envelope = _kernel_envelope(dk.spec)
+    proposed = 0
+    for d in range(1, shape.depth + 1):
+        level = np.flatnonzero(depths == d)
+        parent_spin = spins[:, parents[level]].ravel()
+        child = np.empty_like(parent_spin)
+        pending = np.arange(parent_spin.size)
+        while pending.size:
+            proposed += pending.size
+            u = _sample_pl(ts, f_dens, f_cdf, rng.random(pending.size))
+            accept = rng.random(pending.size) * envelope <= dk.spec.evaluate(parent_spin[pending], u)
+            child[pending[accept]] = u[accept]
+            pending = pending[~accept]
+        spins[:, level] = child.reshape(n_samples, level.size)
+    spins.setflags(write=False)
+    rate = n_samples * (parents.size - 1) / proposed if proposed else None
+    return TreeSample(shape, spins, rate)
 
 
 def mc_finite_volume_marginal(
@@ -292,8 +327,8 @@ def mc_finite_volume_marginal(
     bin_w = np.zeros(bins)
     bin_w2 = np.zeros(bins)
 
-    for start in range(0, n_mc, _SAMPLE_CHUNK):
-        m = min(start + _SAMPLE_CHUNK, n_mc) - start
+    for start in range(0, n_mc, _ORACLE_CHUNK):
+        m = min(start + _ORACLE_CHUNK, n_mc) - start
         sig = rng.random((m, n_vertices))
         w = np.ones(m)
         for v in child:
@@ -341,8 +376,7 @@ def density_bin_probabilities(density: DensityOnGrid, edges) -> np.ndarray:
     if np.any(edges < 0.0) or np.any(edges > 1.0) or np.any(np.diff(edges) <= 0.0):
         raise ValueError("edges must be increasing and lie in [0,1]")
     ts, ds = interp_knots(density)
-    seg_mass = 0.5 * (ds[:-1] + ds[1:]) * np.diff(ts)
-    cdf_knots = np.concatenate(([0.0], np.cumsum(seg_mass)))
+    cdf_knots = _pl_cdf(ts, ds)
     idx = np.clip(np.searchsorted(ts, edges, side="right") - 1, 0, ts.size - 2)
     s = edges - ts[idx]
     slope = (ds[idx + 1] - ds[idx]) / (ts[idx + 1] - ts[idx])
@@ -365,13 +399,10 @@ def z_scores(hist: Histogram, expected_probs) -> np.ndarray:
     return z
 
 
-def assignments_csv(assignments: list[TreeAssignment]) -> str:
+def assignments_csv(sample: TreeSample) -> str:
     """CSV serialization: one row per vertex (sample, vertex path, spin)."""
-    if not assignments:
-        return "sample,vertex,spin\n"
-    paths, _, _ = assignments[0].shape.vertex_table()
+    paths, _, _ = sample.shape.vertex_table()
     lines = ["sample,vertex,spin"]
-    for s, a in enumerate(assignments):
-        for p, spin in zip(paths, a.spins):
-            lines.append(f"{s},{p},{fmt_float(spin)}")
+    for s, row in enumerate(sample.spins.tolist()):
+        lines.extend(f"{s},{p},{fmt_float(spin)}" for p, spin in zip(paths, row))
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ equivalently M/m < eta_k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from numpy.polynomial.polynomial import polyval2d
 
 POSITIVITY_RESOLUTION = 201
 DEFAULT_BOUNDS_RESOLUTION = 1001
+_ENVELOPE_ROUNDING = 1e-12
 
 
 def _as_domain_array(x, name: str) -> np.ndarray:
@@ -239,6 +241,47 @@ def kernel_bounds(spec: KernelSpec, resolution: int = DEFAULT_BOUNDS_RESOLUTION)
         a = spec.a
         return Bounds(a, a + spec.coeff_sum, a, a, resolution, True)
     return sampled_bounds(spec, resolution)
+
+
+def _bernstein_max(C: np.ndarray) -> float:
+    """Largest Bernstein coefficient of sum C[i,j] t^i u^j on [0,1]^2.
+
+    The Bernstein coefficients enclose the polynomial's range (Garloff
+    1986), so this is an upper bound on its maximum; the four corner
+    coefficients are the corner values, so the bound is exact for bilinear
+    polynomials and whenever the maximum sits at a corner.
+    """
+
+    def to_bernstein(degree: int) -> np.ndarray:
+        return np.array(
+            [[math.comb(j, i) / math.comb(degree, i) for i in range(degree + 1)] for j in range(degree + 1)]
+        )
+
+    p, q = C.shape[0] - 1, C.shape[1] - 1
+    return float((to_bernstein(p) @ C @ to_bernstein(q).T).max())
+
+
+def _kernel_envelope(spec: KernelSpec) -> float:
+    """Proven upper bound on K over [0,1]^2, for rejection sampling.
+
+    Polynomial kernels take their Bernstein maximum, exponential kernels
+    exp(beta * Bernstein maximum of J*xi), tabulated kernels their largest
+    table entry (a bilinear interpolant is a convex combination of its
+    corners) and constant kernels c.  The result is rounded up by a
+    relative 1e-12 so that floating-point evaluation of K never exceeds
+    it.  Unlike ``kernel_bounds``, nothing here is sampled.
+    """
+    if isinstance(spec, ConstantKernel):
+        top = spec.c
+    elif isinstance(spec, PolynomialKernel):
+        top = _bernstein_max(spec.coeff_matrix)
+    elif isinstance(spec, ExponentialKernel):
+        top = math.exp(spec.beta * _bernstein_max(spec.J * spec.interaction_matrix))
+    elif isinstance(spec, TabulatedKernel):
+        top = float(spec.values.max())
+    else:
+        raise TypeError(f"no kernel envelope for {type(spec).__name__}")
+    return top * (1.0 + _ENVELOPE_ROUNDING)
 
 
 @dataclass(frozen=True)

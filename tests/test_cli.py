@@ -165,6 +165,14 @@ class TestSample:
         assert len(hist["counts"]) == 20
         assert sum(hist["counts"]) == 500
 
+    def test_rerun_is_byte_identical_and_reports_acceptance(self, tmp_path, capsys):
+        cfg = {"kernel": POLY_PASS, "k": 2, "sample": {"depth": 2, "n_samples": 300, "seed": 5}}
+        assert run(tmp_path, "sample", cfg, out="a") == EXIT_OK
+        assert run(tmp_path, "sample", cfg, out="b") == EXIT_OK
+        names = ("samples.csv", "histogram.json", "report.json")
+        assert all((tmp_path / "a" / n).read_bytes() == (tmp_path / "b" / n).read_bytes() for n in names)
+        assert 0.0 < json.loads((tmp_path / "a" / "report.json").read_text())["acceptance_rate"] <= 1.0
+
     def test_missing_sample_block_is_config_error(self, tmp_path):
         assert run(tmp_path, "sample", {"kernel": POLY_PASS, "k": 2}) == EXIT_CONFIG
 

@@ -19,6 +19,8 @@ from treegibbs import (
     fixed_point_residual,
     histogram_spins,
     integrate,
+    interpolate,
+    make_grid,
     mc_finite_volume_marginal,
     root_marginal,
     sample_tree,
@@ -175,14 +177,14 @@ class TestSampler:
         a = sample_tree(f, dk, shape, 200, seed=5)
         b = sample_tree(f, dk, shape, 200, seed=5)
         c = sample_tree(f, dk, shape, 200, seed=6)
-        assert all(np.array_equal(x.spins, y.spins) for x, y in zip(a, b))
-        assert any(not np.array_equal(x.spins, y.spins) for x, y in zip(a, c))
+        assert np.array_equal(a.spins, b.spins)
+        assert not np.array_equal(a.spins, c.spins)
 
     def test_constant_kernel_uniform_spins(self, grid96):
         dk = discretize(ConstantKernel(2.0), grid96)
         f = solve_fixed_point(dk, 2).solution
         draws = sample_tree(f, dk, TreeShape(k=2, depth=1), 100_000, seed=12)
-        spins = np.array([a.spins for a in draws])
+        spins = draws.spins
         # all vertices i.i.d. uniform: mean 0.5 within 3 sigma
         for v in range(4):
             assert abs(spins[:, v].mean() - 0.5) < 3.0 * np.sqrt(1.0 / 12.0 / 100_000)
@@ -190,7 +192,7 @@ class TestSampler:
     def test_depth_zero_draws_root_marginal(self, poly_solution):
         dk, f = poly_solution
         draws = sample_tree(f, dk, TreeShape(k=2, depth=0), 50_000, seed=3)
-        spins = np.array([a.spins[0] for a in draws])
+        spins = draws.spins[:, 0]
         hist = histogram_spins(spins)
         probs = density_bin_probabilities(root_marginal(f, dk, 2), hist.edges)
         assert np.max(np.abs(hist.probs - probs) - 3.0 * hist.stderrs) < 0.0
@@ -198,14 +200,39 @@ class TestSampler:
     def test_root_histogram_matches_marginal(self, poly_solution):
         dk, f = poly_solution
         draws = sample_tree(f, dk, TreeShape(k=2, depth=1), 100_000, seed=8)
-        hist = histogram_spins([a.spins[0] for a in draws])
+        hist = histogram_spins(draws.spins[:, 0])
         probs = density_bin_probabilities(root_marginal(f, dk, 2), hist.edges)
         assert np.all(np.abs(hist.probs - probs) <= 3.0 * hist.stderrs)
+
+    def test_child_given_parent_matches_transition(self, grid96):
+        # Joint (root, first child) bin masses: the root density times the
+        # child_transition bin masses, integrated over the root spin on a
+        # quadrature grid whose panels are aligned with the bins.
+        dk = discretize(ExponentialKernel(J=1.0, beta=1.0, interaction=XI_TU), grid96)
+        f = solve_fixed_point(dk, 2).solution
+        n, bins = 100_000, 5
+        draws = sample_tree(f, dk, TreeShape(k=2, depth=1), n, seed=13)
+        idx = np.minimum((draws.spins[:, :2] * bins).astype(int), bins - 1)
+        probs = np.bincount(idx[:, 0] * bins + idx[:, 1], minlength=bins * bins) / n
+        rho = root_marginal(f, dk, 2)
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        quad = make_grid(8, 20)
+        expected = np.zeros((bins, bins))
+        for t, w in zip(quad.nodes, quad.weights):
+            child = density_bin_probabilities(child_transition(f, dk, t), edges)
+            expected[int(t * bins)] += w * interpolate(rho, t) * child
+        expected = expected.ravel() / expected.sum()
+        z = (probs - expected) / np.sqrt(expected * (1.0 - expected) / n)
+        assert np.max(np.abs(z)) <= 4.5
+
+    def test_depth_zero_has_no_acceptance_rate(self, poly_solution):
+        dk, f = poly_solution
+        assert sample_tree(f, dk, TreeShape(k=2, depth=0), 10, seed=1).acceptance_rate is None
 
     def test_spins_stay_in_unit_interval(self, poly_solution):
         dk, f = poly_solution
         draws = sample_tree(f, dk, TreeShape(k=2, depth=2), 2_000, seed=4)
-        spins = np.array([a.spins for a in draws])
+        spins = draws.spins
         assert spins.min() >= 0.0 and spins.max() <= 1.0
 
 

@@ -14,6 +14,7 @@ from treegibbs import (
     sampled_bounds,
     uniqueness_certificate,
 )
+from treegibbs.kernel import _kernel_envelope
 from tests.conftest import separable_kernel
 
 
@@ -167,6 +168,57 @@ class TestBounds:
     def test_bounds_invariant_enforced(self):
         with pytest.raises(ValueError):
             Bounds(m=2.0, M=1.0, m0=1.0, M0=1.0, resolution=2, exact=True)
+
+
+def random_kernel(variant: str, rng):
+    if variant == "constant":
+        return ConstantKernel(rng.uniform(0.1, 5.0))
+    if variant == "polynomial":
+        triples = zip(rng.integers(1, 4, 4), rng.integers(1, 4, 4), rng.uniform(0.0, 1.0, 4))
+        return PolynomialKernel(coeffs=list(triples), a=rng.uniform(0.5, 2.0))
+    if variant == "exponential":
+        triples = zip(rng.integers(0, 4, 5), rng.integers(0, 4, 5), rng.normal(0.0, 1.0, 5))
+        return ExponentialKernel(J=rng.choice([-1.0, 1.0]), beta=rng.uniform(0.2, 2.0), interaction=list(triples))
+    return TabulatedKernel(rng.uniform(0.5, 3.0, rng.integers(2, 10, 2)))
+
+
+class TestEnvelope:
+    """The rejection sampler's envelope: a proven upper bound on K."""
+
+    @staticmethod
+    def assert_tight(envelope, exact):
+        assert exact <= envelope
+        assert (envelope - exact) / exact <= 1e-12 + 1e-15
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("variant", ["constant", "polynomial", "exponential", "tabulated"])
+    def test_covers_lattice_maximum(self, variant, seed):
+        spec = random_kernel(variant, np.random.default_rng([seed, len(variant)]))
+        assert _kernel_envelope(spec) >= sampled_bounds(spec, resolution=1001).M
+
+    def test_polynomial_is_exact(self):
+        spec = PolynomialKernel(coeffs=[(1, 1, 0.3), (2, 1, 0.2), (3, 3, 0.05)], a=0.7)
+        self.assert_tight(_kernel_envelope(spec), 0.7 + spec.coeff_sum)
+
+    def test_tabulated_is_exact(self):
+        values = np.random.default_rng(5).uniform(0.5, 3.0, (6, 9))
+        self.assert_tight(_kernel_envelope(TabulatedKernel(values)), values.max())
+
+    @pytest.mark.parametrize("J", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "xi", [[(1, 1, 1.0)], [(1, 0, 1.0), (0, 1, 1.0), (1, 1, -2.0)], [(0, 0, 0.3), (1, 0, -0.8), (1, 1, 0.5)]]
+    )
+    def test_bilinear_exponential_is_exact_at_corners(self, J, xi):
+        spec = ExponentialKernel(J=J, beta=1.7, interaction=xi)
+        corners = spec.evaluate(np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0, 1.0]))
+        self.assert_tight(_kernel_envelope(spec), corners.max())
+
+    def test_roadmap_table_is_not_undersampled(self):
+        values = np.ones((7, 7))
+        values[1, 1] = 1.132
+        spec = TabulatedKernel(values)
+        self.assert_tight(_kernel_envelope(spec), 1.132)
+        assert kernel_bounds(spec).M == pytest.approx(1.13147, abs=1e-5)
 
 
 class TestEtaThreshold:
