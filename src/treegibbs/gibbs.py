@@ -22,7 +22,7 @@ import numpy as np
 from .grid import Grid, GridFunction, integrate, interp_knots
 from .kernel import ExponentialKernel, KernelSpec, _kernel_envelope
 from .operators import DiscretizedKernel, apply_fixed_point_map
-from .serialize import fmt_float
+from . import serialize
 
 # A density is only trusted when built from a genuine fixed point.
 FIXED_POINT_GATE = 1e-6
@@ -31,6 +31,7 @@ DENSITY_NORMALIZATION_TOL = 1e-10
 ESS_WARN_THRESHOLD = 100.0
 
 _ORACLE_CHUNK = 1 << 15
+_CSV_CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -400,9 +401,22 @@ def z_scores(hist: Histogram, expected_probs) -> np.ndarray:
 
 
 def assignments_csv(sample: TreeSample) -> str:
-    """CSV serialization: one row per vertex (sample, vertex path, spin)."""
+    """CSV serialization: one row per vertex (sample, vertex path, spin).
+
+    Each spin is ``format(spin, ".17g")``.  Rows are built as byte cells,
+    ``_CSV_CHUNK_ROWS`` at a time so the temporaries stay small, with no
+    Python call per spin.
+    """
     paths, _, _ = sample.shape.vertex_table()
-    lines = ["sample,vertex,spin"]
-    for s, row in enumerate(sample.spins.tolist()):
-        lines.extend(f"{s},{p},{fmt_float(spin)}" for p, spin in zip(paths, row))
-    return "\n".join(lines) + "\n"
+    n_samples, n_vertices = sample.spins.shape
+    path_cells = serialize.text_cells(paths)
+    per_chunk = max(1, _CSV_CHUNK_ROWS // n_vertices)
+    chunks = [b"sample,vertex,spin\n"]
+    for s0 in range(0, n_samples, per_chunk):
+        ids = serialize.text_cells([str(s) for s in range(s0, min(n_samples, s0 + per_chunk))])
+        chunks.append(serialize.csv_rows(
+            np.repeat(ids, n_vertices, axis=0),
+            np.tile(path_cells, (len(ids), 1)),
+            serialize.fmt_float_column(sample.spins[s0:s0 + per_chunk]),
+        ))
+    return b"".join(chunks).decode("ascii")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .serialize import fmt_float
+from .serialize import csv_rows, fmt_float_column
 
 WEIGHT_SUM_TOL = 1e-14
 
@@ -173,7 +173,5 @@ def shift_gap(f: GridFunction, a: float) -> float:
 
 def gridfunction_csv(f: GridFunction, names: tuple[str, str] = ("t", "f")) -> str:
     """CSV serialization: header, then (t, f(t)) rows starting with t=0."""
-    lines = [",".join(names)]
-    for t, v in zip(f.grid.points, f.samples):
-        lines.append(f"{fmt_float(t)},{fmt_float(v)}")
-    return "\n".join(lines) + "\n"
+    rows = csv_rows(fmt_float_column(f.grid.points), fmt_float_column(f.samples))
+    return ",".join(names) + "\n" + rows.decode("ascii")

@@ -226,11 +226,13 @@ def sampled_bounds(spec: KernelSpec, resolution: int = DEFAULT_BOUNDS_RESOLUTION
 
 
 def kernel_bounds(spec: KernelSpec, resolution: int = DEFAULT_BOUNDS_RESOLUTION) -> Bounds:
-    """Kernel extrema, analytic where the variant allows it.
+    """Kernel extrema, exact where the variant allows it.
 
-    Constant and polynomial kernels have corner extrema and report
-    ``exact=True``; other variants fall back to dense grid sampling and are
-    flagged approximate so certificate consumers can widen margins.
+    Constant and polynomial kernels have corner extrema, and a bilinear
+    interpolant takes its extrema at table vertices, so these variants
+    report ``exact=True``; exponential kernels fall back to dense grid
+    sampling and are flagged approximate so certificate consumers can
+    widen margins.
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -240,6 +242,9 @@ def kernel_bounds(spec: KernelSpec, resolution: int = DEFAULT_BOUNDS_RESOLUTION)
     if isinstance(spec, PolynomialKernel):
         a = spec.a
         return Bounds(a, a + spec.coeff_sum, a, a, resolution, True)
+    if isinstance(spec, TabulatedKernel):
+        v, row0 = spec.values, spec.values[0]
+        return Bounds(float(v.min()), float(v.max()), float(row0.min()), float(row0.max()), resolution, True)
     return sampled_bounds(spec, resolution)
 
 

@@ -46,6 +46,14 @@ class TestCertify:
         assert code == EXIT_CERT_FAIL
         assert json.loads(capsys.readouterr().out)["certificate"]["pass"] is False
 
+    def test_table_peak_between_lattice_points_fails(self, tmp_path, capsys):
+        values = np.ones((7, 7))
+        values[1, 1] = 1.132  # M/m = 1.132 > eta_2 = 1.13171; a 1001^2 lattice misses it
+        code = run(tmp_path, "certify", {"kernel": {"variant": "tabulated", "values": values.tolist()}, "k": 2})
+        assert code == EXIT_CERT_FAIL
+        bounds = json.loads(capsys.readouterr().out)["bounds"]
+        assert bounds["M"] == 1.132 and bounds["exact"] is True
+
     def test_missing_kernel_block_is_config_error(self, tmp_path, capsys):
         assert run(tmp_path, "certify", {"k": 2}) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
